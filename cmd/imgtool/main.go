@@ -3,6 +3,10 @@
 // (resize_image.cwl, filter_image.cwl, blur_image.cwl) invoke a real
 // executable doing real pixel work.
 //
+// Every output is a PNG written at png.BestSpeed. The contract is the
+// pixels, not the bytes: a step's output decodes to exactly the pixels the
+// imaging package computes, while the file's bytes depend on the zlib level.
+//
 // Usage:
 //
 //	imgtool resize --size N INPUT OUTPUT

@@ -8,7 +8,6 @@ package imaging
 import (
 	"fmt"
 	"image"
-	"image/color"
 	"image/png"
 	"math"
 	"os"
@@ -28,14 +27,21 @@ func Decode(path string) (image.Image, error) {
 	return img, nil
 }
 
-// Encode writes a PNG image to disk.
+// Encode writes a PNG image to disk at png.BestSpeed. The contract of the
+// files this package writes is their pixels, not their bytes: on the §IV
+// workflow's three outputs the default level took three times the CPU for
+// files 8% smaller, and the next step decodes them straight away.
 func Encode(path string, img image.Image) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return png.Encode(f, img)
+	enc := png.Encoder{CompressionLevel: png.BestSpeed}
+	if err := enc.Encode(f, img); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // toRGBA normalizes any image to RGBA for uniform pixel access.
@@ -51,6 +57,24 @@ func toRGBA(img image.Image) *image.RGBA {
 		}
 	}
 	return out
+}
+
+// row returns the 4*w bytes of row y (counted from the image's top edge)
+// of an RGBA image w pixels wide, for the kernels to index directly.
+func row(img *image.RGBA, y, w int) []uint8 {
+	i := y * img.Stride
+	return img.Pix[i : i+4*w : i+4*w]
+}
+
+// clampIndex clamps v into [0, n).
+func clampIndex(v, n int) int {
+	if v < 0 {
+		return 0
+	}
+	if v >= n {
+		return n - 1
+	}
+	return v
 }
 
 // ResizeMode selects the sampling filter.
@@ -77,67 +101,78 @@ func Resize(img image.Image, w, h int, mode ResizeMode) (*image.RGBA, error) {
 	out := image.NewRGBA(image.Rect(0, 0, w, h))
 	xRatio := float64(sw) / float64(w)
 	yRatio := float64(sh) / float64(h)
-	for y := 0; y < h; y++ {
+	switch mode {
+	case Nearest:
+		// Source byte offset of each output column within a source row.
+		sxs := make([]int, w)
+		for x := range sxs {
+			sxs[x] = 4 * min(int(float64(x)*xRatio), sw-1)
+		}
+		for y := 0; y < h; y++ {
+			sy := min(int(float64(y)*yRatio), sh-1)
+			srow, orow := row(src, sy, sw), row(out, y, w)
+			for x, sx := range sxs {
+				copy(orow[4*x:4*x+4], srow[sx:sx+4])
+			}
+		}
+	case Bilinear:
+		// The horizontal sample positions and weights depend only on the
+		// column: compute them once instead of once per pixel.
+		x0s := make([]int, w)
+		x1s := make([]int, w)
+		dxs := make([]float64, w)
 		for x := 0; x < w; x++ {
-			switch mode {
-			case Nearest:
-				sx := int(float64(x) * xRatio)
-				sy := int(float64(y) * yRatio)
-				if sx >= sw {
-					sx = sw - 1
+			fx := (float64(x)+0.5)*xRatio - 0.5
+			x0 := int(math.Floor(fx))
+			dxs[x] = fx - float64(x0)
+			x0s[x] = 4 * clampIndex(x0, sw)
+			x1s[x] = 4 * clampIndex(x0+1, sw)
+		}
+		for y := 0; y < h; y++ {
+			fy := (float64(y)+0.5)*yRatio - 0.5
+			y0 := int(math.Floor(fy))
+			dy := fy - float64(y0)
+			r0 := row(src, clampIndex(y0, sh), sw)
+			r1 := row(src, clampIndex(y0+1, sh), sw)
+			orow := row(out, y, w)
+			for x := 0; x < w; x++ {
+				i0, i1, dx := x0s[x], x1s[x], dxs[x]
+				p00, p10 := r0[i0:i0+4:i0+4], r0[i1:i1+4:i1+4]
+				p01, p11 := r1[i0:i0+4:i0+4], r1[i1:i1+4:i1+4]
+				o := orow[4*x : 4*x+4 : 4*x+4]
+				for c := range o {
+					top := float64(p00[c])*(1-dx) + float64(p10[c])*dx
+					bot := float64(p01[c])*(1-dx) + float64(p11[c])*dx
+					o[c] = roundByte(top*(1-dy) + bot*dy)
 				}
-				if sy >= sh {
-					sy = sh - 1
-				}
-				out.SetRGBA(x, y, src.RGBAAt(sx, sy))
-			case Bilinear:
-				fx := (float64(x)+0.5)*xRatio - 0.5
-				fy := (float64(y)+0.5)*yRatio - 0.5
-				x0 := int(math.Floor(fx))
-				y0 := int(math.Floor(fy))
-				dx := fx - float64(x0)
-				dy := fy - float64(y0)
-				clampX := func(v int) int {
-					if v < 0 {
-						return 0
-					}
-					if v >= sw {
-						return sw - 1
-					}
-					return v
-				}
-				clampY := func(v int) int {
-					if v < 0 {
-						return 0
-					}
-					if v >= sh {
-						return sh - 1
-					}
-					return v
-				}
-				p00 := src.RGBAAt(clampX(x0), clampY(y0))
-				p10 := src.RGBAAt(clampX(x0+1), clampY(y0))
-				p01 := src.RGBAAt(clampX(x0), clampY(y0+1))
-				p11 := src.RGBAAt(clampX(x0+1), clampY(y0+1))
-				lerp := func(a, b uint8, t float64) float64 {
-					return float64(a)*(1-t) + float64(b)*t
-				}
-				blend := func(c00, c10, c01, c11 uint8) uint8 {
-					top := lerp(c00, c10, dx)
-					bot := lerp(c01, c11, dx)
-					v := top*(1-dy) + bot*dy
-					return uint8(math.Round(math.Max(0, math.Min(255, v))))
-				}
-				out.SetRGBA(x, y, color.RGBA{
-					R: blend(p00.R, p10.R, p01.R, p11.R),
-					G: blend(p00.G, p10.G, p01.G, p11.G),
-					B: blend(p00.B, p10.B, p01.B, p11.B),
-					A: blend(p00.A, p10.A, p01.A, p11.A),
-				})
 			}
 		}
 	}
 	return out, nil
+}
+
+// roundByte rounds a resampled value to a channel value. It equals
+// uint8(math.Round(math.Max(0, math.Min(255, v)))) without the two calls.
+func roundByte(v float64) uint8 {
+	if v >= 255 {
+		return 255
+	}
+	if v <= 0 {
+		return 0
+	}
+	return uint8(math.Round(v))
+}
+
+// clampByte converts a filter result to a channel value, saturating at the
+// ends and truncating in between.
+func clampByte(v float64) uint8 {
+	if v > 255 {
+		return 255
+	}
+	if v < 0 {
+		return 0
+	}
+	return uint8(v)
 }
 
 // Sepia applies the standard sepia tone transform.
@@ -145,25 +180,16 @@ func Sepia(img image.Image) *image.RGBA {
 	src := toRGBA(img)
 	b := src.Bounds()
 	out := image.NewRGBA(b)
-	clamp := func(v float64) uint8 {
-		if v > 255 {
-			return 255
-		}
-		if v < 0 {
-			return 0
-		}
-		return uint8(v)
-	}
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			p := src.RGBAAt(x, y)
-			r, g, bb := float64(p.R), float64(p.G), float64(p.B)
-			out.SetRGBA(x, y, color.RGBA{
-				R: clamp(0.393*r + 0.769*g + 0.189*bb),
-				G: clamp(0.349*r + 0.686*g + 0.168*bb),
-				B: clamp(0.272*r + 0.534*g + 0.131*bb),
-				A: p.A,
-			})
+	w := b.Dx()
+	for y := 0; y < b.Dy(); y++ {
+		srow, orow := row(src, y, w), row(out, y, w)
+		for i := 0; i < len(srow); i += 4 {
+			r, g, bb := float64(srow[i]), float64(srow[i+1]), float64(srow[i+2])
+			o := orow[i : i+4 : i+4]
+			o[0] = clampByte(0.393*r + 0.769*g + 0.189*bb)
+			o[1] = clampByte(0.349*r + 0.686*g + 0.168*bb)
+			o[2] = clampByte(0.272*r + 0.534*g + 0.131*bb)
+			o[3] = srow[i+3]
 		}
 	}
 	return out
@@ -174,11 +200,13 @@ func Grayscale(img image.Image) *image.RGBA {
 	src := toRGBA(img)
 	b := src.Bounds()
 	out := image.NewRGBA(b)
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		for x := b.Min.X; x < b.Max.X; x++ {
-			p := src.RGBAAt(x, y)
-			l := uint8(0.299*float64(p.R) + 0.587*float64(p.G) + 0.114*float64(p.B))
-			out.SetRGBA(x, y, color.RGBA{R: l, G: l, B: l, A: p.A})
+	w := b.Dx()
+	for y := 0; y < b.Dy(); y++ {
+		srow, orow := row(src, y, w), row(out, y, w)
+		for i := 0; i < len(srow); i += 4 {
+			l := uint8(0.299*float64(srow[i]) + 0.587*float64(srow[i+1]) + 0.114*float64(srow[i+2]))
+			o := orow[i : i+4 : i+4]
+			o[0], o[1], o[2], o[3] = l, l, l, srow[i+3]
 		}
 	}
 	return out
@@ -200,59 +228,44 @@ func BoxBlur(img image.Image, radius int) (*image.RGBA, error) {
 	out := image.NewRGBA(image.Rect(0, 0, w, h))
 	window := 2*radius + 1
 
-	clampI := func(v, n int) int {
-		if v < 0 {
-			return 0
-		}
-		if v >= n {
-			return n - 1
-		}
-		return v
-	}
-	// Horizontal pass.
+	// Horizontal pass: one running sum per channel slides along each row.
 	for y := 0; y < h; y++ {
-		var sr, sg, sb, sa int
+		srow, trow := row(src, y, w), row(tmp, y, w)
+		var sum [4]int
 		for i := -radius; i <= radius; i++ {
-			p := src.RGBAAt(clampI(i, w)+b.Min.X, y+b.Min.Y)
-			sr += int(p.R)
-			sg += int(p.G)
-			sb += int(p.B)
-			sa += int(p.A)
+			p := 4 * clampIndex(i, w)
+			for c := range sum {
+				sum[c] += int(srow[p+c])
+			}
 		}
 		for x := 0; x < w; x++ {
-			tmp.SetRGBA(x, y, color.RGBA{
-				R: uint8(sr / window), G: uint8(sg / window),
-				B: uint8(sb / window), A: uint8(sa / window),
-			})
-			outgoing := src.RGBAAt(clampI(x-radius, w)+b.Min.X, y+b.Min.Y)
-			incoming := src.RGBAAt(clampI(x+radius+1, w)+b.Min.X, y+b.Min.Y)
-			sr += int(incoming.R) - int(outgoing.R)
-			sg += int(incoming.G) - int(outgoing.G)
-			sb += int(incoming.B) - int(outgoing.B)
-			sa += int(incoming.A) - int(outgoing.A)
+			for c := range sum {
+				trow[4*x+c] = uint8(sum[c] / window)
+			}
+			outgoing := 4 * clampIndex(x-radius, w)
+			incoming := 4 * clampIndex(x+radius+1, w)
+			for c := range sum {
+				sum[c] += int(srow[incoming+c]) - int(srow[outgoing+c])
+			}
 		}
 	}
-	// Vertical pass.
-	for x := 0; x < w; x++ {
-		var sr, sg, sb, sa int
-		for i := -radius; i <= radius; i++ {
-			p := tmp.RGBAAt(x, clampI(i, h))
-			sr += int(p.R)
-			sg += int(p.G)
-			sb += int(p.B)
-			sa += int(p.A)
+	// Vertical pass: a running sum per column and channel slides down the
+	// image one whole row at a time, so every access walks memory in order.
+	sums := make([]int, 4*w)
+	for i := -radius; i <= radius; i++ {
+		for j, v := range row(tmp, clampIndex(i, h), w) {
+			sums[j] += int(v)
 		}
-		for y := 0; y < h; y++ {
-			out.SetRGBA(x, y, color.RGBA{
-				R: uint8(sr / window), G: uint8(sg / window),
-				B: uint8(sb / window), A: uint8(sa / window),
-			})
-			outgoing := tmp.RGBAAt(x, clampI(y-radius, h))
-			incoming := tmp.RGBAAt(x, clampI(y+radius+1, h))
-			sr += int(incoming.R) - int(outgoing.R)
-			sg += int(incoming.G) - int(outgoing.G)
-			sb += int(incoming.B) - int(outgoing.B)
-			sa += int(incoming.A) - int(outgoing.A)
+	}
+	for y := 0; y < h; y++ {
+		orow := row(out, y, w)
+		for j, s := range sums {
+			orow[j] = uint8(s / window)
+		}
+		outgoing := row(tmp, clampIndex(y-radius, h), w)
+		incoming := row(tmp, clampIndex(y+radius+1, h), w)
+		for j := range sums {
+			sums[j] += int(incoming[j]) - int(outgoing[j])
 		}
 	}
 	return out, nil
@@ -283,19 +296,16 @@ func Generate(w, h int, seed int64) (*image.RGBA, error) {
 	}
 	out := image.NewRGBA(image.Rect(0, 0, w, h))
 	state := uint64(seed)*6364136223846793005 + 1442695040888963407
-	next := func() uint64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return state >> 33
-	}
 	for y := 0; y < h; y++ {
+		orow := row(out, y, w)
 		for x := 0; x < w; x++ {
-			n := next()
-			out.SetRGBA(x, y, color.RGBA{
-				R: uint8((x*255/w + int(n&31)) & 255),
-				G: uint8((y*255/h + int((n>>5)&31)) & 255),
-				B: uint8(((x+y)*255/(w+h) + int((n>>10)&31)) & 255),
-				A: 255,
-			})
+			state = state*6364136223846793005 + 1442695040888963407
+			n := state >> 33
+			o := orow[4*x : 4*x+4 : 4*x+4]
+			o[0] = uint8((x*255/w + int(n&31)) & 255)
+			o[1] = uint8((y*255/h + int((n>>5)&31)) & 255)
+			o[2] = uint8(((x+y)*255/(w+h) + int((n>>10)&31)) & 255)
+			o[3] = 255
 		}
 	}
 	return out, nil

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -80,6 +81,41 @@ outputs: {}
 	}
 	if len(ents) != 1 {
 		t.Errorf("successful run's job dir missing: %v", ents)
+	}
+}
+
+// TestRunToolCreatesMissingDirs checks the job-directory set-up: a missing
+// WorkRoot (nested) is created on the first job and reused after, and a
+// caller-supplied OutDir that does not exist yet is created.
+func TestRunToolCreatesMissingDirs(t *testing.T) {
+	ok := mustTool(t, `
+cwlVersion: v1.2
+class: CommandLineTool
+baseCommand: ["true"]
+inputs: {}
+outputs: {}
+`)
+	root := filepath.Join(t.TempDir(), "a", "b")
+	r := &ToolRunner{WorkRoot: root}
+	for i := 0; i < 2; i++ {
+		res, err := r.RunTool(ok, yamlx.NewMap(), RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Dir(res.OutDir) != root {
+			t.Errorf("job dir %s not under WorkRoot %s", res.OutDir, root)
+		}
+	}
+	if ents, err := os.ReadDir(root); err != nil || len(ents) != 2 {
+		t.Errorf("WorkRoot holds %v (err %v), want 2 job dirs", ents, err)
+	}
+
+	supplied := filepath.Join(t.TempDir(), "x", "y")
+	if _, err := r.RunTool(ok, yamlx.NewMap(), RunOpts{OutDir: supplied}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(supplied); err != nil || !st.IsDir() {
+		t.Errorf("caller-supplied OutDir not created: %v", err)
 	}
 }
 

@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -205,18 +207,21 @@ func (r *ToolRunner) RunTool(tool *cwl.CommandLineTool, provided *yamlx.Map, opt
 		if root == "" {
 			root = os.TempDir()
 		}
-		if err := os.MkdirAll(root, 0o755); err != nil {
-			return nil, err
-		}
 		// MkdirTemp makes the directory unique across ToolRunner instances
 		// and processes: concurrent invocations (scatter siblings, separate
-		// worker processes) must never share a job directory.
-		outdir, err = os.MkdirTemp(root, fmt.Sprintf("%s-%03d-", toolName(tool), r.seq.Add(1)))
+		// worker processes) must never share a job directory. The root
+		// exists after the first job, so it is created only when missing.
+		pattern := fmt.Sprintf("%s-%03d-", toolName(tool), r.seq.Add(1))
+		outdir, err = os.MkdirTemp(root, pattern)
+		if errors.Is(err, fs.ErrNotExist) {
+			if err = os.MkdirAll(root, 0o755); err == nil {
+				outdir, err = os.MkdirTemp(root, pattern)
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
-	}
-	if err := os.MkdirAll(outdir, 0o755); err != nil {
+	} else if err := os.MkdirAll(outdir, 0o755); err != nil {
 		return nil, err
 	}
 	// On success the directory stays — the caller inspects outputs via the
